@@ -40,17 +40,23 @@ test:
 race:
 	go test -race ./...
 
-# bench regenerates the before/after evidence files: baseline drives
-# the retained sequential/refit paths, after the incremental/parallel
-# ones. Compare with benchstat or diff the JSON.
+# bench regenerates the before/after evidence files from one suite
+# definition: BENCH_baseline.json from cmd/bench built at git ref BASE
+# in a throwaway local worktree, BENCH_after.json from cmd/bench built
+# from the working tree. The default BASE=HEAD measures uncommitted
+# changes; `make bench BASE=<ref>` baselines against any commit.
+BASE ?= HEAD
 bench:
-	go run ./cmd/bench -legacy -o BENCH_baseline.json
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/src" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/src" $(BASE); \
+	(cd "$$tmp/src" && go build -o "$$tmp/bench" ./cmd/bench); \
+	"$$tmp/bench" -o BENCH_baseline.json; \
 	go run ./cmd/bench -o BENCH_after.json
 
 # benchsmoke is the -short-guarded quick pass over the same suite —
 # including the cluster placement pipeline (profile cache, admission
-# pre-filter, concurrent screening) in both its legacy and cached
-# modes.
+# pre-filter, concurrent screening).
 benchsmoke:
 	go test -short -run TestBenchSmoke .
 

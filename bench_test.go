@@ -11,11 +11,8 @@ import (
 	"testing"
 
 	"clite"
-	"clite/internal/bo"
-	"clite/internal/gp"
-	"clite/internal/optimize"
+	"clite/internal/benchmarks"
 	"clite/internal/resource"
-	"clite/internal/stats"
 )
 
 // benchExperiment runs one harness experiment per iteration.
@@ -59,27 +56,6 @@ func BenchmarkAblationDesignChoices(b *testing.B) {
 // BenchmarkDOEComparison regenerates the Sec. 5.2 FFD/RSM comparison.
 func BenchmarkDOEComparison(b *testing.B) { benchExperiment(b, "doe") }
 
-// BenchmarkCLITERun measures one full controller invocation on the
-// quickstart mix — the end-to-end unit of Fig. 15's overhead story.
-func BenchmarkCLITERun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := clite.NewMachine(int64(i))
-		if _, err := m.AddLC("memcached", 0.2); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.AddLC("img-dnn", 0.1); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.AddBG("streamcluster"); err != nil {
-			b.Fatal(err)
-		}
-		ctrl := clite.NewController(m, clite.Options{BO: clite.BOOptions{Seed: int64(i)}})
-		if _, err := ctrl.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkObservationWindow measures the simulated cost of one
 // observation window (the evaluation step of Algorithm 1).
 func BenchmarkObservationWindow(b *testing.B) {
@@ -97,139 +73,6 @@ func BenchmarkObservationWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Observe(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGPFit measures one per-iteration surrogate update at the
-// paper's typical sample count (~50 samples, 15 dimensions), both
-// ways: "incremental" extends the retained Cholesky factor of every
-// hyperparameter grid point by one row and re-selects by marginal
-// likelihood (the engine's steady-state path, O(grid·n²));
-// "refit" rebuilds the whole grid from scratch the way every iteration
-// used to (O(grid·n³)).
-func BenchmarkGPFit(b *testing.B) {
-	rng := stats.NewRNG(1)
-	const n, window, dim = 50, 10, 15
-	xs := make([][]float64, n+window)
-	ys := make([]float64, n+window)
-	for i := range xs {
-		xs[i] = make([]float64, dim)
-		for d := range xs[i] {
-			xs[i][d] = rng.Float64()
-		}
-		ys[i] = rng.Float64()
-	}
-	b.Run("incremental", func(b *testing.B) {
-		pool, err := gp.NewPool("matern52", 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := pool.Condition(xs[:n], ys[:n]); err != nil {
-			b.Fatal(err)
-		}
-		i := n
-		b.ResetTimer()
-		for k := 0; k < b.N; k++ {
-			if i == n+window {
-				// Re-seed the window so steady state stays at n≈50.
-				b.StopTimer()
-				if err := pool.Condition(xs[:n], ys[:n]); err != nil {
-					b.Fatal(err)
-				}
-				i = n
-				b.StartTimer()
-			}
-			if err := pool.Observe(xs[i], ys[i]); err != nil {
-				b.Fatal(err)
-			}
-			i++
-			if _, err := pool.Best(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("refit", func(b *testing.B) {
-		for k := 0; k < b.N; k++ {
-			if _, err := gp.FitMLEWorkers("matern52", xs[:n], ys[:n], 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkGPPredict measures one posterior evaluation, the inner-loop
-// cost of acquisition maximization.
-func BenchmarkGPPredict(b *testing.B) {
-	rng := stats.NewRNG(2)
-	const n, dim = 40, 15
-	xs := make([][]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = make([]float64, dim)
-		for d := range xs[i] {
-			xs[i][d] = rng.Float64()
-		}
-		ys[i] = rng.Float64()
-	}
-	model, err := gp.FitMLE("matern52", xs, ys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := make([]float64, dim)
-	for d := range probe {
-		probe[d] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := model.Predict(probe); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAcquisitionMaximize measures one constrained EI
-// maximization over the full partition polytope (Eq. 4–6).
-func BenchmarkAcquisitionMaximize(b *testing.B) {
-	topo := resource.Default()
-	const nJobs = 3
-	target := resource.EqualSplit(topo, nJobs).Vector()
-	objective := func(x []float64) float64 {
-		var s float64
-		for i := range x {
-			d := x[i] - target[i]
-			s -= d * d
-		}
-		return s
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		optimize.Maximize(optimize.Problem{
-			Topo: topo, NJobs: nJobs,
-			Objective: objective,
-			FrozenJob: -1,
-			RNG:       stats.NewRNG(int64(i)),
-		})
-	}
-}
-
-// BenchmarkOracleSweep measures the offline brute-force baseline the
-// paper calls infeasible online (1000s of configurations).
-func BenchmarkOracleSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := clite.NewMachine(1)
-		if _, err := m.AddLC("memcached", 0.2); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.AddLC("img-dnn", 0.1); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.AddBG("streamcluster"); err != nil {
-			b.Fatal(err)
-		}
-		p, _ := clite.PolicyByName("ORACLE", 1)
-		if _, err := p.Run(m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,24 +98,14 @@ func BenchmarkScoreFunction(b *testing.B) {
 	}
 }
 
-// BenchmarkBOEngineIteration isolates one engine loop turn (fit +
-// acquisition + candidate selection) via a tiny cheap objective.
-func BenchmarkBOEngineIteration(b *testing.B) {
-	topo := resource.Small()
-	eval := func(cfg resource.Config) (bo.Evaluation, error) {
-		var s float64
-		for _, a := range cfg.Jobs {
-			s += float64(a[0])
-		}
-		return bo.Evaluation{Score: s / 20, JobPerf: []float64{1, 1}}, nil
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bo.Run(topo, 2, eval, bo.Options{Seed: int64(i), MaxIterations: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// The hot-path benchmarks are defined once, in internal/benchmarks;
+// these wrappers time the same definitions cmd/bench serializes.
+func BenchmarkGPFit(b *testing.B)               { benchmarks.Bench(b, "GPFit") }
+func BenchmarkGPPredict(b *testing.B)           { benchmarks.Bench(b, "GPPredict") }
+func BenchmarkAcquisitionMaximize(b *testing.B) { benchmarks.Bench(b, "AcquisitionMaximize") }
+func BenchmarkOracleSweep(b *testing.B)         { benchmarks.Bench(b, "OracleSweep") }
+func BenchmarkBOEngineIteration(b *testing.B)   { benchmarks.Bench(b, "BOEngineIteration") }
+func BenchmarkCLITERun(b *testing.B)            { benchmarks.Bench(b, "CLITERun") }
 
 var sinkTables []clite.ExperimentTable
 

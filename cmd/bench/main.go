@@ -1,12 +1,13 @@
 // Command bench runs the hot-path benchmark suite and serializes the
-// results as JSON, one file per mode:
+// results as JSON:
 //
-//	bench -legacy -o BENCH_baseline.json   # sequential / from-scratch-refit paths
-//	bench -o BENCH_after.json              # incremental / pooled / parallel paths
+//	bench -o BENCH_after.json
 //
 // The classic `go test -bench` lines are printed to stdout as well, so
-// two runs can be diffed with benchstat. `make bench` produces both
-// files. Two result files can also be diffed directly:
+// two runs can be diffed with benchstat. `make bench BASE=<ref>` builds
+// this command at a git ref for BENCH_baseline.json and from the
+// working tree for BENCH_after.json. Two result files can also be
+// diffed directly:
 //
 //	bench -compare BENCH_baseline.json BENCH_after.json
 //
@@ -67,7 +68,6 @@ var gatedExtras = []struct {
 // tooling can rely on a stable layout: run metadata first, then the
 // top-level "benchmarks" array in suite order.
 type output struct {
-	Mode       string              `json:"mode"`
 	GoOS       string              `json:"goos"`
 	GoArch     string              `json:"goarch"`
 	NumCPU     int                 `json:"num_cpu"`
@@ -91,7 +91,6 @@ func main() {
 }
 
 func run() error {
-	legacy := flag.Bool("legacy", false, "drive the sequential/refit code paths (baseline mode)")
 	quick := flag.Bool("quick", false, "tiny problem sizes, fixed repetitions (smoke mode)")
 	out := flag.String("o", "", "write JSON results to this file (default stdout)")
 	compare := flag.Bool("compare", false, "compare two result files: bench -compare old.json new.json")
@@ -115,12 +114,6 @@ func run() error {
 		return runPerfTable(flag.Arg(0), flag.Arg(1), *readme)
 	}
 
-	mode := "after"
-	workers := par.Count(0)
-	if *legacy {
-		mode = "baseline"
-		workers = 1
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -132,7 +125,7 @@ func run() error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	results := benchmarks.Run(benchmarks.Config{Legacy: *legacy, Quick: *quick, Telemetry: *withTelemetry})
+	results := benchmarks.Run(benchmarks.Config{Quick: *quick, Telemetry: *withTelemetry})
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
@@ -149,12 +142,11 @@ func run() error {
 	}
 
 	doc := output{
-		Mode:       mode,
 		GoOS:       runtime.GOOS,
 		GoArch:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    workers,
+		Workers:    par.Count(0),
 		Telemetry:  *withTelemetry,
 		GitRev:     gitRevision(),
 		Benchmarks: results,

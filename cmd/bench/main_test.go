@@ -12,7 +12,7 @@ import (
 
 func writeDoc(t *testing.T, dir, name string, results []benchmarks.Result) string {
 	t.Helper()
-	doc := output{Mode: "test", Benchmarks: results}
+	doc := output{Benchmarks: results}
 	blob, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,13 @@
-// Package benchmarks is the repo's before/after benchmark harness: a
-// fixed suite of hot-path measurements (surrogate update, posterior
-// prediction, acquisition maximization, ORACLE sweep, one BO engine
-// turn, one cluster placement) runnable in two modes. Legacy drives
-// the retained sequential and from-scratch-refit paths (FitMLEWorkers
-// at one worker, the DisableIncrementalFit engine, Oracle and Maximize
-// pinned to one worker, the scheduler with the profile cache and
-// pre-filter off); the default drives the incremental, pooled,
-// parallel, cached paths. cmd/bench serializes the two runs to
-// BENCH_baseline.json and BENCH_after.json, and the tier-1 smoke test
-// runs the quick form of the same suite so the harness itself cannot
-// rot.
+// Package benchmarks is the repo's one definition of each hot-path
+// benchmark: a fixed suite of measurements (surrogate update,
+// posterior prediction, acquisition maximization, ORACLE sweep, one BO
+// engine run, one controller run to termination, one cluster
+// placement, one fleet run). cmd/bench serializes a suite run to JSON;
+// `make bench` runs the cmd/bench of a base git ref and of the working
+// tree to produce BENCH_baseline.json and BENCH_after.json. The root
+// Benchmark* functions of the same names are wrappers over Bench, and
+// the tier-1 smoke test runs the quick form of the suite so the
+// harness itself cannot rot.
 package benchmarks
 
 import (
@@ -35,9 +33,6 @@ import (
 
 // Config selects the suite variant.
 type Config struct {
-	// Legacy drives the sequential/refit code paths instead of the
-	// incremental/parallel ones.
-	Legacy bool
 	// Quick shrinks problem sizes and replaces testing.Benchmark with
 	// a fixed-repetition manual timing pass — the tier-1 smoke form.
 	Quick bool
@@ -72,13 +67,6 @@ type Result struct {
 func (r Result) GoBenchLine() string {
 	return fmt.Sprintf("Benchmark%s 1 %.0f ns/op %d B/op %d allocs/op",
 		r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-}
-
-func (c Config) workers() int {
-	if c.Legacy {
-		return 1
-	}
-	return 0
 }
 
 // bench is one suite entry's instantiated form: the timed operation,
@@ -131,20 +119,37 @@ func Run(cfg Config) []Result {
 	return out
 }
 
+// Bench runs the named suite entry at full problem size under tb: the
+// body of the root Benchmark* functions, so `go test -bench` and
+// cmd/bench time the same definition.
+func Bench(tb *testing.B, name string) {
+	for _, s := range suite() {
+		if s.name == name {
+			s.make(Config{}).run(tb)
+			return
+		}
+	}
+	tb.Fatalf("benchmarks: no suite entry %q", name)
+}
+
+// run is the timed loop: op every iteration, with the untimed reset
+// every `every` operations.
+func (b bench) run(tb *testing.B) {
+	tb.ReportAllocs()
+	tb.ResetTimer()
+	for i := 0; i < tb.N; i++ {
+		if b.reset != nil && i > 0 && i%b.every == 0 {
+			tb.StopTimer()
+			b.reset()
+			tb.StartTimer()
+		}
+		b.op()
+	}
+}
+
 // measure runs one bench under the standard go-benchmark driver.
 func measure(name string, b bench) Result {
-	r := testing.Benchmark(func(tb *testing.B) {
-		tb.ReportAllocs()
-		tb.ResetTimer()
-		for i := 0; i < tb.N; i++ {
-			if b.reset != nil && i > 0 && i%b.every == 0 {
-				tb.StopTimer()
-				b.reset()
-				tb.StartTimer()
-			}
-			b.op()
-		}
-	})
+	r := testing.Benchmark(b.run)
 	return Result{
 		Name:        name,
 		NsPerOp:     float64(r.NsPerOp()),
@@ -222,8 +227,8 @@ func gpData(n, dim int, seed int64) ([][]float64, []float64) {
 }
 
 // gpFit measures one per-iteration surrogate update at n≈50 (quick:
-// n=16): legacy refits the whole hyperparameter grid from scratch,
-// the default extends every retained factor by one row and re-selects.
+// n=16): every retained factor of the hyperparameter grid is extended
+// by one row and the model re-selected.
 func gpFit(cfg Config) bench {
 	n, dim := 50, 15
 	if cfg.Quick {
@@ -231,14 +236,7 @@ func gpFit(cfg Config) bench {
 	}
 	const window = 10
 	xs, ys := gpData(n+window, dim, 1)
-	if cfg.Legacy {
-		return bench{op: func() {
-			if _, err := gp.FitMLEWorkers("matern52", xs[:n], ys[:n], 1); err != nil {
-				panic(err)
-			}
-		}}
-	}
-	pool, err := gp.NewPool("matern52", cfg.workers())
+	pool, err := gp.NewPool("matern52", 0)
 	if err != nil {
 		panic(err)
 	}
@@ -265,27 +263,19 @@ func gpFit(cfg Config) bench {
 	return bench{op: op, reset: reset, every: window}
 }
 
-// gpPredict measures one posterior evaluation: legacy through the
-// allocating Predict, the default through PredictWith and a reused
-// buffer.
+// gpPredict measures one posterior evaluation through PredictWith and
+// a reused buffer.
 func gpPredict(cfg Config) bench {
 	n, dim := 50, 15
 	if cfg.Quick {
 		n, dim = 16, 8
 	}
 	xs, ys := gpData(n, dim, 2)
-	model, err := gp.FitMLEWorkers("matern52", xs, ys, cfg.workers())
+	model, err := gp.FitMLE("matern52", xs, ys)
 	if err != nil {
 		panic(err)
 	}
 	probe := xs[0]
-	if cfg.Legacy {
-		return bench{op: func() {
-			if _, _, err := model.Predict(probe); err != nil {
-				panic(err)
-			}
-		}}
-	}
 	var buf gp.PredictBuf
 	return bench{op: func() {
 		if _, _, err := model.PredictWith(&buf, probe); err != nil {
@@ -295,8 +285,8 @@ func gpPredict(cfg Config) bench {
 }
 
 // acquisitionMaximize measures one constrained multi-start EI-shaped
-// maximization over the partition polytope, sequential in legacy mode
-// and pool-fanned otherwise.
+// maximization over the partition polytope, fanned over the worker
+// pool.
 func acquisitionMaximize(cfg Config) bench {
 	topo := resource.Default()
 	nJobs := 3
@@ -315,17 +305,12 @@ func acquisitionMaximize(cfg Config) bench {
 		return s
 	}
 	seed := int64(0)
-	// The default path carries the multi-start arena across ops and
-	// scores gradient probes in batches, as the engine does; legacy
-	// allocates fresh per-start storage and probes point by point.
-	var scratch *optimize.Scratch
-	var batch func(xs [][]float64, out []float64)
-	if !cfg.Legacy {
-		scratch = new(optimize.Scratch)
-		batch = func(xs [][]float64, out []float64) {
-			for i, x := range xs {
-				out[i] = objective(x)
-			}
+	// The multi-start arena carries across ops and gradient probes are
+	// scored in batches, as the engine does.
+	scratch := new(optimize.Scratch)
+	batch := func(xs [][]float64, out []float64) {
+		for i, x := range xs {
+			out[i] = objective(x)
 		}
 	}
 	return bench{op: func() {
@@ -337,7 +322,6 @@ func acquisitionMaximize(cfg Config) bench {
 			FrozenJob:      -1,
 			Iterations:     iters,
 			RNG:            stats.NewRNG(seed),
-			Workers:        cfg.workers(),
 			Scratch:        scratch,
 		})
 	}}
@@ -357,23 +341,22 @@ func benchMachine(seed int64) *server.Machine {
 	return m
 }
 
-// oracleSweep measures the offline brute-force baseline. Legacy
-// drives the retained full-walk/string-memo/per-config-ScoreJobs
-// sweep at one worker; the default drives the block-sharded sweep
-// with packed memo keys and cached log-term scoring, pinned at four
-// workers — the acceptance configuration, which block sharding makes
-// no slower than one worker even on a single core.
+// oracleSweep measures the offline brute-force baseline: the
+// block-sharded sweep over the precomputed measurement table, pinned
+// at four workers in full mode — the acceptance configuration, which
+// block sharding makes no slower than one worker even on a single
+// core.
 func oracleSweep(cfg Config) bench {
 	m := benchMachine(1)
 	budget := 0 // default 200k grid
 	if cfg.Quick {
 		budget = 2000
 	}
-	workers := cfg.workers()
-	if !cfg.Legacy && !cfg.Quick {
-		workers = 4
+	workers := 4
+	if cfg.Quick {
+		workers = 0
 	}
-	oracle := policies.Oracle{Budget: budget, Workers: workers, Legacy: cfg.Legacy}
+	oracle := policies.Oracle{Budget: budget, Workers: workers}
 	return bench{op: func() {
 		if _, err := oracle.Run(m); err != nil {
 			panic(err)
@@ -382,9 +365,7 @@ func oracleSweep(cfg Config) bench {
 }
 
 // boEngineIteration measures short engine runs (fit + acquisition +
-// candidate selection per turn). Legacy disables the incremental
-// surrogate, the batched acquisition, and the worker pools, with a
-// fresh engine per run; the default drives a Runner whose arenas —
+// candidate selection per turn) through a Runner whose arenas —
 // sample storage, seen-set, surrogate factors, multi-start and
 // gradient scratch — persist across runs, the steady state of a
 // controller re-optimizing after load changes.
@@ -405,20 +386,6 @@ func boEngineIteration(cfg Config) bench {
 		return bo.Evaluation{Score: s / 20, JobPerf: jobPerf}, nil
 	}
 	seed := int64(0)
-	if cfg.Legacy {
-		return bench{op: func() {
-			seed++
-			if _, err := bo.Run(topo, 2, eval, bo.Options{
-				Seed:                  seed,
-				MaxIterations:         maxIter,
-				Workers:               1,
-				DisableIncrementalFit: true,
-				DisableBatchedEI:      true,
-			}); err != nil {
-				panic(err)
-			}
-		}}
-	}
 	runner, err := bo.NewRunner(topo, 2)
 	if err != nil {
 		panic(err)
@@ -428,34 +395,35 @@ func boEngineIteration(cfg Config) bench {
 		if _, err := runner.Run(eval, bo.Options{
 			Seed:          seed,
 			MaxIterations: maxIter,
-			Workers:       cfg.workers(),
 		}); err != nil {
 			panic(err)
 		}
 	}}
 }
 
-// cliteRun measures one full controller invocation end to end — the
-// path the telemetry layer instruments most densely (BO iterations,
-// observation windows, QoS verdicts, termination). With cfg.Telemetry
-// a fresh tracer and registry ride along each run and their allocation
-// cost is charged to the op; without it the instrumented sites all hit
-// their nil guards, which must cost nothing.
+// cliteRun measures one full controller invocation end to end, run to
+// termination — the path the telemetry layer instruments most densely
+// (BO iterations, observation windows, QoS verdicts, termination).
+// Quick mode caps BO at two iterations, which keeps the overhead gates
+// that pair runs of it cheap. Every op runs the same seed: how many
+// iterations a run takes to terminate varies several-fold across
+// seeds, so varying it per op would make the figure depend on how many
+// ops the driver ran. With cfg.Telemetry a fresh tracer and registry
+// ride along each run and their allocation cost is charged to the op;
+// without it the instrumented sites all hit their nil guards, which
+// must cost nothing.
 func cliteRun(cfg Config) bench {
-	maxIter := 6
+	maxIter := 0 // the engine's own termination rule
 	if cfg.Quick {
 		maxIter = 2
 	}
-	seed := int64(0)
+	const seed = 1
 	var runs, events float64
 	op := func() {
-		seed++
 		m := benchMachine(seed)
 		opts := core.Options{BO: bo.Options{
-			Seed:                  seed,
-			MaxIterations:         maxIter,
-			Workers:               cfg.workers(),
-			DisableIncrementalFit: cfg.Legacy,
+			Seed:          seed,
+			MaxIterations: maxIter,
 		}}
 		if cfg.Telemetry {
 			opts.Trace = telemetry.NewTracer()
@@ -502,13 +470,15 @@ func cliteRun(cfg Config) bench {
 // clusterPlace measures one placement decision of a sustained,
 // repetitive request stream against an 8-node pool — the profile
 // cache, admission pre-filter, and concurrent screening pipeline end
-// to end. Legacy pins all three layers off (cold sequential screening,
-// the pre-cache admission path). The scheduler is rebuilt after each
-// full pass so the pool never saturates; repeats land within a pass,
-// which is where the cache earns its keep. Extra logs the work
-// ledger: BO iterations per placement and the cache hit rate, the
-// acceptance metrics for the pipeline.
+// to end. The scheduler is rebuilt after each full pass so the pool
+// never saturates; repeats land within a pass, which is where the
+// cache earns its keep. Extra logs the work ledger: BO iterations per
+// placement and the cache hit rate, the acceptance metrics for the
+// pipeline, over a fixed untimed replay of ledgerPasses passes from a
+// cold cache — so the ledger depends on the code alone, not on how
+// many ops the timing loop happened to run.
 func clusterPlace(cfg Config) bench {
+	const ledgerPasses = 16
 	nodes, iters := 8, 6
 	if cfg.Quick {
 		nodes, iters = 4, 4
@@ -526,19 +496,13 @@ func clusterPlace(cfg Config) bench {
 	// The profile cache outlives each per-pass scheduler — the
 	// warehouse-wide profile store — so steady-state passes admit from
 	// memoized screens.
-	var shared *profile.Cache
-	if !cfg.Legacy {
-		shared = profile.NewCache(resource.Default())
-	}
+	shared := profile.NewCache(resource.Default())
 	newSched := func() *cluster.Scheduler {
 		return cluster.New(cluster.Options{
-			Nodes:               nodes,
-			Seed:                42,
-			ScreenIterations:    iters,
-			ScreenWorkers:       cfg.workers(),
-			DisableProfileCache: cfg.Legacy,
-			DisablePrefilter:    cfg.Legacy,
-			SharedProfiles:      shared,
+			Nodes:            nodes,
+			Seed:             42,
+			ScreenIterations: iters,
+			SharedProfiles:   shared,
 		})
 	}
 	sched := newSched()
@@ -557,6 +521,14 @@ func clusterPlace(cfg Config) bench {
 		i = 0
 	}
 	extra := func() map[string]float64 {
+		shared = profile.NewCache(resource.Default())
+		sched, i, agg = newSched(), 0, cluster.Stats{}
+		for n := 0; n < ledgerPasses*len(reqs); n++ {
+			if n > 0 && n%len(reqs) == 0 {
+				reset()
+			}
+			op()
+		}
 		st := addStats(agg, sched.Stats())
 		out := map[string]float64{
 			"placements":    float64(st.Placements),
@@ -578,26 +550,18 @@ func clusterPlace(cfg Config) bench {
 // fleetPlace measures warehouse-scale placement throughput: one op is
 // a complete fleet simulation — streamed arrivals and departures over
 // a thousand nodes (quick: 128), every placement through the full
-// pre-filter → cache → BO pipeline. Legacy runs the fleet as one
-// monolithic scheduling domain (a single cell spanning every node,
-// one shard), the state of the world before the fleet layer: each
-// arrival assesses the whole fleet and all screening serializes. The
-// default carves the fleet into 64-node cells run by four shards.
-// Extra logs the acceptance metrics: end-to-end placements per
-// wall-clock second, the profile-cache hit rate, and — default mode
-// only — the measured throughput scaling from one shard to the
-// configured count (≈1 on a single-core box, where the cell
-// decomposition's structural win is what the ns/op comparison shows;
-// the shards only stretch out on real cores).
+// pre-filter → cache → BO pipeline, the fleet carved into 64-node
+// cells run by four shards. Extra logs the acceptance metrics:
+// end-to-end placements per wall-clock second, the profile-cache hit
+// rate, and the measured throughput scaling from one shard to the
+// configured count (≈1 on a single-core box; the shards only stretch
+// out on real cores).
 func fleetPlace(cfg Config) bench {
 	nodes, cellNodes, shards := 1024, 64, 4
 	duration := 30.0
 	if cfg.Quick {
 		nodes, cellNodes, shards = 128, 32, 2
 		duration = 4
-	}
-	if cfg.Legacy {
-		cellNodes, shards = nodes, 1
 	}
 	newOpts := func(seed int64, shards int) fleet.Options {
 		o := fleet.Options{
@@ -653,7 +617,7 @@ func fleetPlace(cfg Config) bench {
 		if lookups := last.Cluster.CacheHits + last.Cluster.CacheMisses; lookups > 0 {
 			out["cache_hit_rate"] = float64(last.Cluster.CacheHits) / float64(lookups)
 		}
-		if !cfg.Legacy && runs > 0 {
+		if runs > 0 {
 			// One untimed single-shard replay of the last seed measures
 			// how much the shards themselves buy on this machine. The
 			// decisions are byte-identical by construction; only the wall

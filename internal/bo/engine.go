@@ -108,20 +108,6 @@ type Options struct {
 	// sequential paths; results are byte-identical either way
 	// (DESIGN.md §8).
 	Workers int
-	// DisableIncrementalFit refits the surrogate from scratch every
-	// iteration (the pre-incremental O(n³) path) instead of extending
-	// the retained Cholesky factors by one row. Kept as an ablation
-	// and benchmarking switch; the incremental-conditioning tests pin
-	// the two paths to each other.
-	DisableIncrementalFit bool
-	// DisableBatchedEI routes the acquisition maximizer's
-	// finite-difference probes through per-point posterior calls
-	// instead of one batched PredictBatch per gradient (the
-	// pre-batching path). Decisions are byte-identical either way —
-	// the batched path restructures only scheduling, never a point's
-	// operation chain — so this is purely a benchmarking/ablation
-	// switch; the decision-identity test pins the two paths.
-	DisableBatchedEI bool
 	// Trace, when non-nil, receives the per-iteration timeline
 	// (BOIteration and Termination events). Events carry only
 	// iteration numbers and scores — never wall-clock readings — so a
@@ -393,9 +379,6 @@ func (r *Runner) Run(eval EvalFunc, opts Options) (Result, error) {
 		if ee := opts.exploitEvery(); ee > 0 && iter%ee == ee-1 {
 			objective = e.meanObjFn
 			batchObjective = e.meanBatchFn
-		}
-		if opts.DisableBatchedEI {
-			batchObjective = nil
 		}
 		starts := e.collectStarts(e.best())
 		problem := optimize.Problem{
@@ -741,8 +724,8 @@ func (e *engine) meanObjective(x []float64) float64 {
 // batchEval scores a candidate batch through one PredictBatch call.
 // Per-point operation chains are identical to the scalar objectives —
 // batching restructures only the scheduling across points — so the
-// outputs are bit-equal to calling the scalar objective per row (the
-// decision-identity test pins this through whole runs).
+// outputs are bit-equal to calling the scalar objective per row
+// (TestBatchedEIMatchesScalar pins this).
 func (e *engine) batchEval(xs [][]float64, out []float64, meanOnly bool) {
 	m := len(xs)
 	if m == 0 {
@@ -844,30 +827,15 @@ func fixedHyperModel(family string) (*gp.GP, error) {
 	return gp.New(kernel, 1e-3), nil
 }
 
-// fit returns the surrogate conditioned on every sample so far. The
-// default path is incremental: the retained Cholesky factors are
-// extended by one row per new observation (O(grid·n²) per iteration),
-// and model selection over the hyperparameter grid is recomputed from
-// the cached log marginal likelihoods. DisableIncrementalFit falls
-// back to refitting everything from scratch (O(grid·n³)); the two
-// paths select the same model — the equivalence test pins it.
+// fit returns the surrogate conditioned on every sample so far. It is
+// incremental: the retained Cholesky factors are extended by one row
+// per new observation (O(grid·n²) per iteration), and model selection
+// over the hyperparameter grid is recomputed from the cached log
+// marginal likelihoods. It selects the same model a from-scratch refit
+// (O(grid·n³)) would — TestIncrementalFitMatchesRefit pins it.
 func (e *engine) fit(family string) (*gp.GP, error) {
 	n := len(e.samples)
 	e.mFitSamples.Observe(float64(n))
-	if e.opts.DisableIncrementalFit {
-		e.mFitRefits.Inc()
-		if n < mleMinSamples {
-			model, err := fixedHyperModel(family)
-			if err != nil {
-				return nil, err
-			}
-			if err := model.Fit(e.normXs[:n], e.ys[:n]); err != nil {
-				return nil, err
-			}
-			return model, nil
-		}
-		return gp.FitMLEWorkers(family, e.normXs[:n], e.ys[:n], e.opts.Workers)
-	}
 	if n < mleMinSamples {
 		if e.fixed == nil {
 			model, err := fixedHyperModel(family)

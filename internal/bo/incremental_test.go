@@ -1,8 +1,11 @@
 package bo
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"clite/internal/gp"
 	"clite/internal/resource"
 )
 
@@ -57,24 +60,82 @@ func diffTraces(t *testing.T, label string, a, b runTrace) {
 	}
 }
 
-// TestIncrementalFitMatchesRefit runs the engine with the incremental
-// surrogate path (rank-1 Cholesky appends against the retained grid of
-// models) and with DisableIncrementalFit (fresh O(n³) refits every
-// iteration) and demands the entire decision sequence — every sampled
-// configuration, every score, the termination point, and the returned
-// best — be identical. The surrogate posteriors agree to rounding
-// error, so any divergence means the incremental path changed an
-// argmax somewhere.
+// TestIncrementalFitMatchesRefit replays the samples of seeded runs
+// into a fresh engine one at a time and, at every sample count,
+// compares engine.fit — rank-1 Cholesky appends against the retained
+// fixed-hyperparameter model or grid of models — with a from-scratch
+// fit of the same samples: the fixed-hyperparameter Fit below
+// mleMinSamples, gp.FitMLEWorkers from there on. Both must select the
+// same hyperparameters, and their posteriors must agree to rounding
+// error at every sampled point and at the midpoints between them.
 func TestIncrementalFitMatchesRefit(t *testing.T) {
 	topo := resource.Small()
+	const nJobs, tol = 3, 1e-10
 	for seed := int64(1); seed <= 4; seed++ {
 		opts := Options{Seed: seed, MaxIterations: 20}
-		inc := traceOf(t, topo, 3, opts)
-		ref := opts
-		ref.DisableIncrementalFit = true
-		refit := traceOf(t, topo, 3, ref)
-		diffTraces(t, "incremental vs refit", inc, refit)
+		res, err := Run(topo, nJobs, bowlEval(topo, mustTarget(topo, nJobs, seed+100)), opts)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		family := opts.kernelFamily()
+		e := newEngine(topo, nJobs)
+		e.reset(opts)
+		var buf gp.PredictBuf
+		for _, s := range res.Samples {
+			ev := s.Eval
+			if err := e.evaluate(s.Config, func(resource.Config) (Evaluation, error) { return ev, nil }); err != nil {
+				t.Fatalf("evaluate: %v", err)
+			}
+			n := len(e.samples)
+			inc, err := e.fit(family)
+			if err != nil {
+				t.Fatalf("seed %d n=%d: incremental fit: %v", seed, n, err)
+			}
+			var ref *gp.GP
+			if n < mleMinSamples {
+				if ref, err = fixedHyperModel(family); err == nil {
+					err = ref.Fit(e.normXs[:n], e.ys[:n])
+				}
+			} else {
+				ref, err = gp.FitMLEWorkers(family, e.normXs[:n], e.ys[:n], 1)
+			}
+			if err != nil {
+				t.Fatalf("seed %d n=%d: refit: %v", seed, n, err)
+			}
+			if inc.Noise() != ref.Noise() || !reflect.DeepEqual(inc.Kernel(), ref.Kernel()) {
+				t.Fatalf("seed %d n=%d: selected noise %v kernel %+v, refit selects noise %v kernel %+v",
+					seed, n, inc.Noise(), inc.Kernel(), ref.Noise(), ref.Kernel())
+			}
+			for _, x := range withMidpoints(e.normXs[:n]) {
+				im, is, err := inc.PredictWith(&buf, x)
+				if err != nil {
+					t.Fatalf("incremental predict: %v", err)
+				}
+				rm, rs, err := ref.PredictWith(&buf, x)
+				if err != nil {
+					t.Fatalf("refit predict: %v", err)
+				}
+				if math.Abs(im-rm) > tol || math.Abs(is-rs) > tol {
+					t.Fatalf("seed %d n=%d: posterior at %v: incremental (%v, %v) vs refit (%v, %v)",
+						seed, n, x, im, is, rm, rs)
+				}
+			}
+		}
 	}
+}
+
+// withMidpoints returns the rows followed by the midpoint of each
+// consecutive pair, so checks cover points off the sampled lattice.
+func withMidpoints(rows [][]float64) [][]float64 {
+	out := append([][]float64(nil), rows...)
+	for i := 1; i < len(rows); i++ {
+		mid := make([]float64, len(rows[i]))
+		for d := range mid {
+			mid[d] = (rows[i-1][d] + rows[i][d]) / 2
+		}
+		out = append(out, mid)
+	}
+	return out
 }
 
 // TestParallelRunIsByteIdentical runs the engine sequentially

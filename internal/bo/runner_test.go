@@ -1,25 +1,58 @@
 package bo
 
 import (
+	"math"
 	"testing"
 
 	"clite/internal/resource"
 )
 
-// TestBatchedEIMatchesScalar runs the engine with the batched
-// acquisition path (gradient probes scored through one PredictBatch
-// call) and with DisableBatchedEI (per-point posterior calls) and
-// demands the entire decision sequence be identical: batching
+// TestBatchedEIMatchesScalar checks that the batched acquisition
+// objectives are bit-equal to their per-point forms: batching
 // restructures only the scheduling across probe points, never a
-// point's operation chain, so any divergence is a bug.
+// point's operation chain. The rows are the sampled configurations of
+// seeded runs plus the midpoints between consecutive ones, scored
+// against the surrogate each run ends on — the fixed-hyperparameter
+// model after a short run, the MLE-selected one after a long run.
 func TestBatchedEIMatchesScalar(t *testing.T) {
 	topo := resource.Small()
+	const nJobs = 3
+	r, err := NewRunner(topo, nJobs)
+	if err != nil {
+		t.Fatalf("NewRunner: %v", err)
+	}
+	e := r.e
 	for seed := int64(1); seed <= 4; seed++ {
-		opts := Options{Seed: seed, MaxIterations: 20}
-		batched := traceOf(t, topo, 3, opts)
-		scalar := opts
-		scalar.DisableBatchedEI = true
-		diffTraces(t, "batched vs scalar EI", batched, traceOf(t, topo, 3, scalar))
+		for _, iters := range []int{1, 20} {
+			opts := Options{Seed: seed, MaxIterations: iters}
+			if _, err := r.Run(bowlEval(topo, mustTarget(topo, nJobs, seed+100)), opts); err != nil {
+				t.Fatalf("Runner.Run: %v", err)
+			}
+			model, err := e.fit(opts.kernelFamily())
+			if err != nil {
+				t.Fatalf("fit: %v", err)
+			}
+			_, bestMean := e.bestByPosterior(model)
+			e.curModel, e.curBestMean, e.acq = model, bestMean, opts.acquisition()
+
+			var vecs [][]float64
+			for _, s := range e.samples {
+				vecs = append(vecs, s.Config.Vector())
+			}
+			rows := withMidpoints(vecs)
+			ei := make([]float64, len(rows))
+			mean := make([]float64, len(rows))
+			e.eiBatch(rows, ei)
+			e.meanBatch(rows, mean)
+			for i, x := range rows {
+				if want := e.eiObjective(x); math.Float64bits(ei[i]) != math.Float64bits(want) {
+					t.Fatalf("seed %d iters %d row %d: eiBatch %v, eiObjective %v", seed, iters, i, ei[i], want)
+				}
+				if want := e.meanObjective(x); math.Float64bits(mean[i]) != math.Float64bits(want) {
+					t.Fatalf("seed %d iters %d row %d: meanBatch %v, meanObjective %v", seed, iters, i, mean[i], want)
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"clite/internal/faults"
@@ -48,6 +50,35 @@ func TestPlaceValidation(t *testing.T) {
 	}
 	if _, err := s.Place(Request{Workload: "not-a-workload", Load: 0.2}); err == nil {
 		t.Error("unknown workload should be rejected")
+	}
+}
+
+// TestPlaceLoadRange pins Place's [0, 1.5] load range (0 is a BG
+// request), including the non-finite values: a NaN load would pass a
+// plain `< 0 || > 1.5` check and then classify as BG, since IsLC
+// tests Load > 0.
+func TestPlaceLoadRange(t *testing.T) {
+	for _, tc := range []struct {
+		req Request
+		ok  bool
+	}{
+		{Request{Workload: "memcached", Load: 0.2}, true},
+		{Request{Workload: "swaptions"}, true},
+		{Request{Workload: "memcached", Load: -0.1}, false},
+		{Request{Workload: "memcached", Load: 1.6}, false},
+		{Request{Workload: "memcached", Load: math.NaN()}, false},
+		{Request{Workload: "memcached", Load: math.Inf(1)}, false},
+		{Request{Workload: "swaptions", Load: math.Inf(-1)}, false},
+	} {
+		s := New(Options{Nodes: 1, Seed: 2, ScreenIterations: 4})
+		_, err := s.Place(tc.req)
+		rangeErr := err != nil && strings.Contains(err.Error(), "out of range")
+		if rangeErr == tc.ok {
+			t.Errorf("Place(%s load=%v): err=%v, want range error=%v", tc.req.Workload, tc.req.Load, err, !tc.ok)
+		}
+		if st := s.Stats(); !tc.ok && st.Placements+st.Rejections != 0 {
+			t.Errorf("Place(load=%v) reached the pipeline: %+v", tc.req.Load, st)
+		}
 	}
 }
 

@@ -183,6 +183,9 @@ func (g *GP) Append(x []float64, y float64) error {
 // N returns the number of conditioned samples.
 func (g *GP) N() int { return len(g.x) }
 
+// Noise returns the observation-noise variance.
+func (g *GP) Noise() float64 { return g.noise }
+
 // PredictBuf holds the scratch vectors one posterior evaluation needs.
 // Reusing a buffer across calls makes Predict allocation-free — the
 // acquisition maximizer evaluates the posterior thousands of times per

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -51,6 +52,42 @@ func TestAddJobValidation(t *testing.T) {
 	}
 	if _, err := m.AddLC("memcached", 2.0); err == nil {
 		t.Error("AddLC should reject absurd load")
+	}
+}
+
+// TestLoadRangeValidation pins the (0, 1.5] load range on both entry
+// points, including the non-finite values a plain `<= 0 || > 1.5`
+// check lets through (NaN fails every comparison).
+func TestLoadRangeValidation(t *testing.T) {
+	for _, tc := range []struct {
+		load float64
+		ok   bool
+	}{
+		{0.3, true},
+		{1.5, true},
+		{0, false},
+		{-0.1, false},
+		{1.6, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		m := newTestMachine(t, 1)
+		_, err := m.AddLC("memcached", tc.load)
+		if (err == nil) != tc.ok {
+			t.Errorf("AddLC(load=%v): err=%v, want ok=%v", tc.load, err, tc.ok)
+		}
+		if _, err := m.AddLC("img-dnn", 0.2); err != nil {
+			t.Fatal(err)
+		}
+		job := len(m.Jobs()) - 1
+		err = m.SetLoad(job, tc.load)
+		if (err == nil) != tc.ok {
+			t.Errorf("SetLoad(load=%v): err=%v, want ok=%v", tc.load, err, tc.ok)
+		}
+		if !tc.ok && m.Jobs()[job].Load != 0.2 {
+			t.Errorf("SetLoad(load=%v) changed the load to %v", tc.load, m.Jobs()[job].Load)
+		}
 	}
 }
 
